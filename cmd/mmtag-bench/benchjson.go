@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"runtime"
 	"strings"
 	"time"
@@ -97,17 +99,37 @@ func compareBench(cur, base *BenchReport, nsTolPct, allocsTolPct float64) []stri
 	return benchfmt.Compare(cur, base, nsTolPct, allocsTolPct)
 }
 
+// keepOtherSuites returns the report to write to path. When path
+// already holds a report, its rows from suites this run did not measure
+// (the mmtag-load latency rows of a combined baseline) are kept, so
+// refreshing the eval rows never drops another tool's gate.
+func keepOtherSuites(report *BenchReport, path string) (*BenchReport, error) {
+	if path == "-" {
+		return report, nil
+	}
+	old, err := loadBenchReport(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return report, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	merged := *report
+	merged.Benchmarks = benchfmt.MergeRows(old, report)
+	return &merged, nil
+}
+
 // runBenchJSON is the -benchjson / -benchcompare entry point: measure,
 // optionally persist, optionally gate against a committed baseline.
 // Returns an error whose message lists every regression when the gate
 // fails.
 func runBenchJSON(id string, seed int64, label, outPath string, reps int, comparePath string, nsTolPct, allocsTolPct float64, w io.Writer) error {
 	ids := []string{id}
-	withTput := false
+	withTput, withEpoch := false, false
 	switch {
 	case strings.EqualFold(id, "all"):
 		ids = eval.ExperimentIDs()
-		withTput = true
+		withTput, withEpoch = true, true
 	case strings.EqualFold(id, "chaos"):
 		ids = eval.ChaosExperimentIDs()
 	case strings.EqualFold(id, "tput"):
@@ -127,8 +149,19 @@ func runBenchJSON(id string, seed int64, label, outPath string, reps int, compar
 		}
 		report.Benchmarks = append(report.Benchmarks, tput...)
 	}
+	if withEpoch {
+		epoch, err := measureEpoch(reps)
+		if err != nil {
+			return err
+		}
+		report.Benchmarks = append(report.Benchmarks, epoch)
+	}
 	if outPath != "" {
-		if err := writeBenchReport(report, outPath, w); err != nil {
+		persist, err := keepOtherSuites(report, outPath)
+		if err != nil {
+			return err
+		}
+		if err := writeBenchReport(persist, outPath, w); err != nil {
 			return err
 		}
 	}

@@ -163,3 +163,53 @@ func TestRunBenchJSONEndToEnd(t *testing.T) {
 		t.Fatalf("self-comparison failed: %v", err)
 	}
 }
+
+// TestRunBenchJSONKeepsOtherSuites refreshes one suite of a combined
+// baseline: the measured rows are replaced, rows of suites the run did
+// not measure (here a load row) survive.
+func TestRunBenchJSONKeepsOtherSuites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_combined.json")
+	old := &BenchReport{Label: "old", Benchmarks: []BenchResult{
+		{Name: "T3", NsOp: 1, AllocsOp: 1, Rows: 1},
+		{Name: "LOAD/inventory-mix", Suite: "load", NsOp: 100, BytesOp: 20},
+	}}
+	if err := writeBenchReport(old, path, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := runBenchJSON("T3", 42, "test", path, 1, "", 0, 0, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadBenchReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Label != "test" || len(got.Benchmarks) != 2 {
+		t.Fatalf("unexpected report: %+v", got)
+	}
+	for _, b := range got.Benchmarks {
+		switch b.Name {
+		case "T3":
+			if b.Rows == 1 {
+				t.Errorf("T3 row not re-measured: %+v", b)
+			}
+		case "LOAD/inventory-mix":
+			if b != old.Benchmarks[1] {
+				t.Errorf("load row changed: %+v", b)
+			}
+		default:
+			t.Errorf("unexpected row %+v", b)
+		}
+	}
+}
+
+// TestRunBenchJSONEpochRow measures the serve suite's one row,
+// SERVE/epoch-8ap-64tag: a per-Step cost and the discovered tag count.
+func TestRunBenchJSONEpochRow(t *testing.T) {
+	b, err := measureEpoch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Name != epochBenchName || b.Suite != "serve" || b.NsOp <= 0 || b.Rows < 1 || b.Rows > 64 {
+		t.Fatalf("implausible epoch row: %+v", b)
+	}
+}

@@ -32,7 +32,11 @@
 // wall time and heap traffic per run land in a JSON report (see
 // BenchReport). -benchcompare gates that report against a committed
 // baseline — any allocs/op increase, row-count change, or ns/op
-// regression beyond -benchnstol percent fails the run.
+// regression beyond -benchnstol percent fails the run. With
+// -experiment all the report also carries the "tput" rows and the
+// "serve" suite's SERVE/epoch-8ap-64tag row (cost per daemon epoch
+// step); -experiment tput measures the tput suite alone. Writing to an
+// existing report keeps its rows from suites the run did not measure.
 package main
 
 import (

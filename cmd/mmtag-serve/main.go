@@ -84,13 +84,14 @@ type options struct {
 
 func main() {
 	var o options
+	def := serve.DefaultNetConfig()
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
-	flag.IntVar(&o.aps, "aps", 4, "number of access points (>= 1)")
-	flag.IntVar(&o.tags, "tags", 64, "number of tags (1..255)")
-	flag.Int64Var(&o.seed, "seed", 42, "simulation seed")
-	flag.Float64Var(&o.duration, "duration", 0.2, "simulated polling seconds per report window (split across -epochs)")
-	flag.IntVar(&o.epochs, "epochs", 4, "association epochs per report window (each live epoch simulates duration/epochs seconds)")
-	flag.Float64Var(&o.mobile, "mobile", 0.25, "fraction of tags that move and hand off between cells")
+	flag.IntVar(&o.aps, "aps", def.APs, "number of access points (>= 1)")
+	flag.IntVar(&o.tags, "tags", def.Tags, "number of tags (1..255)")
+	flag.Int64Var(&o.seed, "seed", def.Seed, "simulation seed")
+	flag.Float64Var(&o.duration, "duration", def.Duration, "simulated polling seconds per report window (split across -epochs)")
+	flag.IntVar(&o.epochs, "epochs", def.Epochs, "association epochs per report window (each live epoch simulates duration/epochs seconds)")
+	flag.Float64Var(&o.mobile, "mobile", def.MobileFrac, "fraction of tags that move and hand off between cells")
 	flag.StringVar(&o.faults, "faults", "", "initial fault-injection spec, e.g. 'blockage=30,ackloss=0.2' (hot-reloadable via POST /config)")
 	flag.StringVar(&o.shard, "shard", "", "host fleet slice i/N (e.g. 0/4): -aps/-tags describe the fleet, this daemon serves its AP group with global tag IDs")
 	flag.DurationVar(&o.epochInterval, "epoch-interval", 250*time.Millisecond, "wall-clock spacing between association epochs")
@@ -98,7 +99,7 @@ func main() {
 	flag.IntVar(&o.queue, "queue", 256, "admission queue depth; arrivals beyond it are shed with 429")
 	flag.IntVar(&o.concurrency, "concurrency", 64, "max REST requests executing at once")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 2*time.Second, "per-request deadline, queue wait included")
-	flag.IntVar(&o.handoffLog, "handoff-log", 256, "handoff log entries retained in snapshots")
+	flag.IntVar(&o.handoffLog, "handoff-log", serve.DefaultHandoffLog, "handoff log entries retained in snapshots")
 	flag.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "worker count for the per-cell epoch fan-out")
 	flag.StringVar(&o.runID, "run-id", "", "run identity label (default: derived from the deployment)")
 	flag.StringVar(&o.metrics, "metrics", "", "write the final metrics snapshot here after drain (- for stdout)")

@@ -2,9 +2,9 @@
 // repo's performance gates: the BENCH_<label>.json schema written by
 // cmd/mmtag-bench (evaluation-suite regeneration cost) and
 // cmd/mmtag-load (service latency under closed-loop load),
-// cmd/mmtag-bench's "tput" rows (demodulation throughput per core),
-// and the comparison rules `make bench-check` applies against the
-// committed baseline. Rows carry a suite discriminator so one baseline
+// cmd/mmtag-bench's "tput" rows (demodulation throughput per core) and
+// "serve" row (daemon epoch cost), and the comparison rules
+// `make bench-check` applies against the committed baseline. Rows carry a suite discriminator so one baseline
 // file can hold all these populations: a comparison only judges baseline rows whose
 // suite the current run measured, which lets mmtag-bench gate the eval
 // rows without tripping over load rows and vice versa.
@@ -36,6 +36,10 @@ import (
 // regeneration or batch pass, Rows the table-row or batch-lane count,
 // and AllocsOp is unused (the batch path's allocation discipline is
 // enforced by AllocsPerRun guards in internal/ap and internal/dsp).
+// For the "serve" suite (the daemon epoch, written by mmtag-bench
+// -experiment all) NsOp, AllocsOp and BytesOp are per
+// net.Runner.Step on a single worker and Rows is the final epoch's
+// discovered-tag count.
 type Result struct {
 	Name     string `json:"name"`
 	Suite    string `json:"suite,omitempty"`

@@ -22,8 +22,10 @@ import (
 // wall-mounted phased array.
 const discoverySectorDeg = 72
 
-// probeTagID is the reserved tag ID ProbeSINR uses; deployments are
-// limited to 255 tags so it never collides with a placed tag.
+// probeTagID is the tag ID ProbeSINR gives its probe. Placed tags are
+// numbered TagIDBase+i+1, so a 255-tag deployment does assign ID 255;
+// the probe never collides with it only because ProbeSINR's network
+// holds the probe alone (other tags enter as interferers, not tags).
 const probeTagID = 255
 
 // CellReport aggregates one AP cell over all epochs.

@@ -80,7 +80,7 @@ func newAdmission(cfg AdmissionConfig, reg *obs.Registry) *admission {
 		a.inflight = reg.Gauge("serve_inflight_requests",
 			"REST requests currently executing.")
 		a.latency = reg.QuantileVec("serve_request_seconds",
-			"End-to-end REST request latency (reservoir-sampled p50/p90/p99).", "route")
+			"REST handler time after admission, excluding queue wait (reservoir-sampled p50/p90/p99).", "route")
 		a.requests = reg.CounterVec("serve_requests_total",
 			"REST requests served, by route and status code.", "route", "code")
 	}

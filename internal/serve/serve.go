@@ -67,7 +67,7 @@ type Config struct {
 	// (default 10s).
 	DrainTimeout time.Duration
 	// HandoffLog bounds the handoff log retained in snapshots
-	// (default 256).
+	// (default DefaultHandoffLog).
 	HandoffLog int
 	// RunID labels the run (default derived from the deployment).
 	RunID string
@@ -86,6 +86,20 @@ type Config struct {
 	stepWrap func(step func() error) func() error
 }
 
+// DefaultHandoffLog is the handoff log bound a zero Config.HandoffLog
+// (and mmtag-serve's -handoff-log default) selects.
+const DefaultHandoffLog = 256
+
+// DefaultNetConfig returns the deployment mmtag-serve hosts at its flag
+// defaults: 4 APs, 64 tags, seed 42, a 0.2 s report window split into
+// 4 epochs, a quarter of the tags mobile, no faults.
+func DefaultNetConfig() net.Config {
+	return net.Config{
+		APs: 4, Tags: 64, Seed: 42,
+		Duration: 0.2, Epochs: 4, MobileFrac: 0.25,
+	}
+}
+
 func (c Config) withDefaults() Config {
 	if c.EpochInterval <= 0 {
 		c.EpochInterval = 250 * time.Millisecond
@@ -94,7 +108,7 @@ func (c Config) withDefaults() Config {
 		c.DrainTimeout = 10 * time.Second
 	}
 	if c.HandoffLog <= 0 {
-		c.HandoffLog = 256
+		c.HandoffLog = DefaultHandoffLog
 	}
 	return c
 }
@@ -295,10 +309,14 @@ func (d *Daemon) loop() {
 		if pending != nil {
 			d.generation.Add(1)
 			d.applied.Inc()
-			pending.result <- nil
 		}
 		d.epochs.Inc()
 		d.publishSnapshot()
+		if pending != nil {
+			// Acknowledge only once the new generation is published, so
+			// a GET /v1/config after the 200 reads the applied config.
+			pending.result <- nil
+		}
 		d.epochWall.Observe(time.Since(start).Seconds())
 		if wait := d.cfg.EpochInterval - time.Since(start); wait > 0 {
 			select {

@@ -11,6 +11,7 @@ import (
 	"mmtag/internal/mac"
 	"mmtag/internal/obs"
 	"mmtag/internal/tag"
+	"mmtag/internal/vanatta"
 )
 
 // Placement positions one tag in the AP's polar frame.
@@ -50,11 +51,20 @@ type Interferer struct {
 // Network is an AP plus a set of placed tags over a propagation model.
 // It implements mac.Medium from first principles: every SNR the MAC sees
 // comes out of the monostatic backscatter link budget.
+//
+// The budget's three costly terms — co-channel interference, AP gain
+// toward the tag and the tag reflector's gain — are memoized for the
+// Network's lifetime, each keyed on the exact inputs it was computed
+// from, so a hit returns the very bits recomputing would (DESIGN.md
+// §6.1). AP and PathLoss are fixed at construction.
 type Network struct {
 	AP          *ap.AP
 	PathLoss    channel.PathLoss
-	tags        map[uint8]*Placement
+	tags        map[uint8]*tagEntry
 	interferers []Interferer
+	// interference memoizes interferenceW per beam (Float64bits);
+	// AddInterferer resets it.
+	interference memo[uint64]
 
 	// Instrumentation (all nil-safe; see Instrument).
 	linkObs    *channel.LinkObs
@@ -71,8 +81,58 @@ func NewNetwork(a *ap.AP, pl channel.PathLoss) (*Network, error) {
 	if pl == nil {
 		pl = channel.FreeSpace{FreqHz: a.Config().FreqHz}
 	}
-	return &Network{AP: a, PathLoss: pl, tags: make(map[uint8]*Placement)}, nil
+	return &Network{AP: a, PathLoss: pl, tags: make(map[uint8]*tagEntry)}, nil
 }
+
+// memo caches one value computed from exactly the inputs in key. Float
+// inputs enter keys as math.Float64bits, so +0 and -0 (or two NaN
+// payloads) never share a slot.
+type memo[K comparable] struct {
+	key K
+	val float64
+	ok  bool
+}
+
+// get returns the cached value for key, computing and storing it first
+// when the slot holds another key.
+func (m *memo[K]) get(key K, compute func() float64) float64 {
+	if !m.ok || m.key != key {
+		m.key, m.val, m.ok = key, compute(), true
+	}
+	return m.val
+}
+
+// apGainKey is an AP-gain memo key: steering and tag azimuth.
+type apGainKey struct{ beam, azimuth uint64 }
+
+// reflectorKey is a reflector-gain memo key: the tag's array and its
+// incidence angle.
+type reflectorKey struct {
+	array *vanatta.Array
+	angle uint64
+}
+
+// tagEntry is one placed tag plus its memoized budget terms. Placement
+// hands out a pointer to the embedded Placement, which callers (the
+// mobility runner, experiments) rewrite between queries; the memo keys
+// carry the geometry they were computed under, so a moved tag simply
+// misses.
+type tagEntry struct {
+	Placement
+	apGain    memo[apGainKey]
+	reflector memo[reflectorKey]
+}
+
+// MonostaticGain implements vanatta.Reflector for the tag's link
+// budget: the tag array's gain, memoized on (array, angle).
+func (e *tagEntry) MonostaticGain(theta float64) float64 {
+	arr := e.Device.Array()
+	return e.reflector.get(reflectorKey{arr, math.Float64bits(theta)},
+		func() float64 { return arr.MonostaticGain(theta) })
+}
+
+// Name implements vanatta.Reflector.
+func (e *tagEntry) Name() string { return e.Device.Array().Name() }
 
 // Instrument meters the network's link-budget activity into the
 // handle's registry: per-query counters plus the channel-level budget
@@ -101,7 +161,7 @@ func (n *Network) AddTag(p Placement) error {
 	if _, dup := n.tags[id]; dup {
 		return fmt.Errorf("sim: duplicate tag ID %d", id)
 	}
-	n.tags[id] = &p
+	n.tags[id] = &tagEntry{Placement: p}
 	return nil
 }
 
@@ -110,8 +170,11 @@ func (n *Network) TagCount() int { return len(n.tags) }
 
 // Placement returns a tag's placement.
 func (n *Network) Placement(id uint8) (*Placement, bool) {
-	p, ok := n.tags[id]
-	return p, ok
+	e, ok := n.tags[id]
+	if !ok {
+		return nil, false
+	}
+	return &e.Placement, true
 }
 
 // Tags implements mac.Medium.
@@ -130,6 +193,7 @@ func (n *Network) AddInterferer(i Interferer) error {
 		return fmt.Errorf("sim: interferer needs positive distance and EIRP")
 	}
 	n.interferers = append(n.interferers, i)
+	n.interference = memo[uint64]{}
 	return nil
 }
 
@@ -145,16 +209,18 @@ func (n *Network) interferenceW() float64 {
 }
 
 // link assembles the budget for a tag under a given beam and modulation
-// efficiency.
-func (n *Network) link(p *Placement, beamRad, efficiency float64) *channel.Link {
+// efficiency, drawing its gain and interference terms from the memos.
+func (n *Network) link(p *tagEntry, beamRad, efficiency float64) channel.Link {
 	n.AP.Steer(beamRad)
-	return &channel.Link{
+	beam := math.Float64bits(beamRad)
+	return channel.Link{
 		Obs:           n.linkObs,
-		InterferenceW: n.interferenceW(),
+		InterferenceW: n.interference.get(beam, n.interferenceW),
 		FreqHz:        n.AP.Config().FreqHz,
 		TxPowerW:      n.AP.Config().TxPowerW,
-		APGain:        n.AP.GainToward(p.AzimuthRad),
-		Reflector:     p.Device.Array(),
+		APGain: p.apGain.get(apGainKey{beam, math.Float64bits(p.AzimuthRad)},
+			func() float64 { return n.AP.GainToward(p.AzimuthRad) }),
+		Reflector:     p,
 		TagAngleRad:   p.OrientationRad,
 		DistanceM:     p.DistanceM,
 		PathLoss:      n.PathLoss,
@@ -215,7 +281,8 @@ func (n *Network) UplinkSNRdB(tagID uint8, bandwidthHz, efficiency float64) (flo
 	if !ok {
 		return 0, fmt.Errorf("sim: unknown tag %d", tagID)
 	}
-	return n.link(p, p.AzimuthRad, efficiency).SNRdB(bandwidthHz)
+	l := n.link(p, p.AzimuthRad, efficiency)
+	return l.SNRdB(bandwidthHz)
 }
 
 // SDMGroups partitions the known tag IDs into groups that can be served
