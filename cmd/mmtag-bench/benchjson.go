@@ -28,7 +28,12 @@ type BenchReport = benchfmt.Report
 // measureBench runs each experiment reps times on a single-worker pool
 // (serial execution keeps allocation counts deterministic) and keeps the
 // per-field minimum. Allocation figures come from runtime.MemStats
-// deltas around the run, after a forced GC to settle the heap.
+// deltas around the run. Before the reps, a forced GC settles the heap
+// and one unmeasured run absorbs the one-time costs (FFT plans, caches,
+// sync.Pool refills). No GC is forced between reps: a GC empties every
+// sync.Pool, and which pooled objects the next run gets back depends on
+// the processor its goroutine lands on, so each rep after a forced GC
+// would jitter by a few allocs/op.
 func measureBench(label string, ids []string, seed int64, reps int) (*BenchReport, error) {
 	if reps < 1 {
 		reps = 1
@@ -39,9 +44,12 @@ func measureBench(label string, ids []string, seed int64, reps int) (*BenchRepor
 	report := &BenchReport{Label: label, GoVersion: runtime.Version(), Seed: seed, Reps: reps}
 	var ms runtime.MemStats
 	for _, id := range ids {
+		runtime.GC()
+		if _, err := eval.RunExperiment(x, id, nil, seed); err != nil {
+			return nil, fmt.Errorf("bench %s: %w", id, err)
+		}
 		var best BenchResult
 		for r := 0; r < reps; r++ {
-			runtime.GC()
 			runtime.ReadMemStats(&ms)
 			mallocs, bytes := ms.Mallocs, ms.TotalAlloc
 			start := time.Now()

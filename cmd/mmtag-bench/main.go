@@ -28,8 +28,9 @@
 // allocs profiles plus a GC summary after the run.
 //
 // -benchjson switches the harness into measurement mode: each selected
-// experiment runs -benchreps times on a single worker, and the minimum
-// wall time and heap traffic per run land in a JSON report (see
+// experiment runs once unmeasured, then -benchreps times on a single
+// worker, and the minimum wall time and heap traffic per run land in a
+// JSON report (see
 // BenchReport). -benchcompare gates that report against a committed
 // baseline — any allocs/op increase, row-count change, or ns/op
 // regression beyond -benchnstol percent fails the run. With

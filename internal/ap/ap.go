@@ -27,7 +27,6 @@ import (
 	"math"
 
 	"mmtag/internal/antenna"
-	"mmtag/internal/channel"
 	"mmtag/internal/rfmath"
 )
 
@@ -131,55 +130,9 @@ func (a *AP) NoisePowerW(bandwidthHz float64) float64 {
 		rfmath.FromDB(a.cfg.NoiseFigureDB)
 }
 
-// ResidualSelfInterferenceW returns the self-interference power that
-// survives isolation plus analog cancellation.
-func (a *AP) ResidualSelfInterferenceW() float64 {
-	return channel.SelfInterferencePowerW(a.cfg.TxPowerW, a.cfg.IsolationDB+a.cfg.CancellationDB)
-}
-
-// UplinkBudget assembles the channel.Link for a tag seen at angleRad
-// (from the AP's current beam) and tagAngleRad (incidence at the tag),
-// at distance d, with the given modulation efficiency.
-func (a *AP) UplinkBudget(refl channelReflector, d, angleRad, tagAngleRad, modEfficiency float64) *channel.Link {
-	return &channel.Link{
-		FreqHz:        a.cfg.FreqHz,
-		TxPowerW:      a.cfg.TxPowerW,
-		APGain:        a.GainToward(angleRad),
-		Reflector:     refl,
-		TagAngleRad:   tagAngleRad,
-		DistanceM:     d,
-		ModEfficiency: modEfficiency,
-		NoiseFigureDB: a.cfg.NoiseFigureDB,
-	}
-}
-
-// channelReflector matches vanatta.Reflector without importing it here,
-// keeping the dependency direction ap -> channel -> vanatta.
-type channelReflector interface {
-	MonostaticGain(theta float64) float64
-	Name() string
-}
-
-// DynamicRangeDB returns the ADC's nominal dynamic range (6.02 dB/bit).
-func (a *AP) DynamicRangeDB() float64 { return 6.02 * float64(a.cfg.ADCBits) }
-
-// MinDetectableRatioDB returns how far below the residual
-// self-interference a tag signal can sit and still clear the ADC's
-// quantization floor, the quantity experiment E9 sweeps.
-func (a *AP) MinDetectableRatioDB() float64 {
-	// The ADC full scale must accommodate the residual SI; the
-	// quantization floor sits DynamicRange below that.
-	return a.DynamicRangeDB()
-}
-
-// Quantize models the ADC: clips x to fullScale amplitude per I/Q rail
-// and rounds to the configured bit depth. It returns a new slice.
-func (a *AP) Quantize(x []complex128, fullScale float64) []complex128 {
-	return a.QuantizeTo(make([]complex128, len(x)), x, fullScale)
-}
-
-// QuantizeTo is Quantize into a caller-provided buffer (grown if too
-// short). dst may alias x for in-place quantization.
+// QuantizeTo models the ADC: it clips x to fullScale amplitude per I/Q
+// rail and rounds to the configured bit depth, writing into dst (grown
+// if too short). dst may alias x for in-place quantization.
 func (a *AP) QuantizeTo(dst, x []complex128, fullScale float64) []complex128 {
 	if fullScale <= 0 {
 		panic("ap: ADC full scale must be positive")

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"mmtag/internal/antenna"
+	"mmtag/internal/channel"
 	"mmtag/internal/rfmath"
-	"mmtag/internal/vanatta"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -59,36 +59,16 @@ func TestNoiseAndResidualSI(t *testing.T) {
 		t.Fatalf("noise power %g dBm", np)
 	}
 	// Residual SI: 20 dBm - 30 - 40 = -50 dBm.
-	si := rfmath.DBm(a.ResidualSelfInterferenceW())
+	si := rfmath.DBm(channel.SelfInterferencePowerW(a.cfg.TxPowerW, a.cfg.IsolationDB+a.cfg.CancellationDB))
 	if math.Abs(si-(-50)) > 0.1 {
 		t.Fatalf("residual SI %g dBm", si)
-	}
-	if a.DynamicRangeDB() != 6.02*12 {
-		t.Fatal("dynamic range")
-	}
-	if a.MinDetectableRatioDB() != a.DynamicRangeDB() {
-		t.Fatal("min detectable ratio")
-	}
-}
-
-func TestUplinkBudgetIntegration(t *testing.T) {
-	a, _ := New(Config{})
-	refl, _ := vanatta.New(vanatta.Config{Elements: 8})
-	a.Steer(0)
-	link := a.UplinkBudget(refl, 3, 0, 0, 1)
-	snr, err := link.SNRdB(10e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snr < 0 || snr > 80 {
-		t.Fatalf("implausible uplink SNR %g dB at 3 m", snr)
 	}
 }
 
 func TestQuantize(t *testing.T) {
 	a, _ := New(Config{ADCBits: 4})
 	x := []complex128{complex(0.5, -0.25), complex(2.0, -3.0)}
-	y := a.Quantize(x, 1.0)
+	y := a.QuantizeTo(nil, x, 1.0)
 	// Clipping.
 	if real(y[1]) != 1.0 || imag(y[1]) != -1.0 {
 		t.Fatalf("clip failed: %v", y[1])
@@ -107,7 +87,7 @@ func TestQuantizeFloor(t *testing.T) {
 	// cancellation must happen before the ADC.
 	a, _ := New(Config{ADCBits: 8})
 	tiny := []complex128{complex(1e-6, 0)}
-	y := a.Quantize(tiny, 1.0)
+	y := a.QuantizeTo(nil, tiny, 1.0)
 	if real(y[0]) != 0 {
 		t.Fatalf("sub-LSB signal should quantize to zero, got %v", y[0])
 	}
@@ -120,7 +100,7 @@ func TestQuantizePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	a.Quantize(nil, 0)
+	a.QuantizeTo(nil, nil, 0)
 }
 
 func TestFitGainOffset(t *testing.T) {

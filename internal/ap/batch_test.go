@@ -19,7 +19,8 @@ func packBatch(waves [][]complex128) *dsp.Batch {
 			stride = len(w)
 		}
 	}
-	b := dsp.NewBatch(len(waves), stride)
+	b := &dsp.Batch{}
+	b.Reset(len(waves), stride)
 	for l, w := range waves {
 		b.SetLaneLen(l, len(w))
 		copy(b.LaneCap(l), w)
@@ -104,7 +105,7 @@ func TestDemodulateBatchMatchesSerial(t *testing.T) {
 func TestDemodulateBatchEdgeCases(t *testing.T) {
 	waves, dem := buildBatchWaves(t, 3, 77)
 
-	if got := dem.DemodulateBatch(dsp.NewBatch(0, 0), 8); len(got) != 0 {
+	if got := dem.DemodulateBatch(&dsp.Batch{}, 8); len(got) != 0 {
 		t.Fatalf("empty batch: %d results", len(got))
 	}
 

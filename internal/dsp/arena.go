@@ -41,9 +41,6 @@ func bucketFor(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// NewArena returns an empty arena. The zero value is also usable.
-func NewArena() *Arena { return &Arena{} }
-
 // Complex borrows a []complex128 of length n with undefined contents.
 func (a *Arena) Complex(n int) []complex128 {
 	if a == nil {
@@ -197,6 +194,3 @@ func GrowComplex(dst []complex128, n int) []complex128 {
 	}
 	return make([]complex128, n)
 }
-
-// growComplex is the package-internal spelling of GrowComplex.
-func growComplex(dst []complex128, n int) []complex128 { return GrowComplex(dst, n) }

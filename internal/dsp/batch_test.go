@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -11,84 +10,21 @@ func fillLane(b *Batch, l int, vals []complex128) {
 	copy(b.LaneCap(l), vals)
 }
 
-func randComplex(rng *rand.Rand, n int) []complex128 {
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	return out
-}
-
-// Every lane of the batched transform must be bit-identical to the
-// per-lane planned transform, for both directions, power-of-two and
-// Bluestein sizes, and any lane count.
-func TestFFTBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 8, 60, 512} {
-		for _, lanes := range []int{1, 2, 7, 64} {
-			x := NewBatch(lanes, n)
-			dst := NewBatch(lanes, n)
-			for l := 0; l < lanes; l++ {
-				fillLane(x, l, randComplex(rng, n))
-			}
-			for _, inverse := range []bool{false, true} {
-				if inverse {
-					IFFTBatchTo(dst, x, n, nil)
-				} else {
-					FFTBatchTo(dst, x, n, nil)
-				}
-				p := PlanFFT(n)
-				want := make([]complex128, n)
-				for l := 0; l < lanes; l++ {
-					if inverse {
-						p.IFFTTo(want, x.Lane(l))
-					} else {
-						p.FFTTo(want, x.Lane(l))
-					}
-					got := dst.Lane(l)
-					if len(got) != n {
-						t.Fatalf("n=%d lanes=%d lane=%d: got len %d", n, lanes, l, len(got))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("n=%d lanes=%d inv=%v lane=%d idx=%d: %v != %v",
-								n, lanes, inverse, l, i, got[i], want[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// In-place batched transform (dst == x) must match the out-of-place one.
-func TestFFTBatchInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const n, lanes = 64, 5
-	x := NewBatch(lanes, n)
-	want := NewBatch(lanes, n)
-	for l := 0; l < lanes; l++ {
-		fillLane(x, l, randComplex(rng, n))
-	}
-	FFTBatchTo(want, x, n, nil)
-	FFTBatchTo(x, x, n, nil)
-	for l := 0; l < lanes; l++ {
-		a, b := x.Lane(l), want.Lane(l)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("lane %d idx %d: %v != %v", l, i, a[i], b[i])
-			}
-		}
-	}
+// newBatch returns a batch of lanes empty lanes of capacity stride.
+func newBatch(lanes, stride int) *Batch {
+	b := &Batch{}
+	b.Reset(lanes, stride)
+	return b
 }
 
 // CrossCorrelateBatch must be bit-identical per lane to serial
-// CrossCorrelateTo, across direct-method lanes, FFT-method lanes, mixed
-// batches with ragged lane lengths, and lanes too short to correlate.
+// CrossCorrelateTo, kernel and package-level alike, across direct-method
+// lanes, FFT-method lanes, mixed batches with ragged lane lengths, and
+// lanes too short to correlate.
 func TestCrossCorrelateBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, m := range []int{4, 63} {
-		ref := randComplex(rng, m)
+		ref := randSignal(rng, m)
 		kern := NewCorrKernel(ref)
 		cases := [][]int{
 			{m + 5},                             // single direct lane
@@ -104,15 +40,16 @@ func TestCrossCorrelateBatchMatchesSerial(t *testing.T) {
 					stride = n
 				}
 			}
-			x := NewBatch(len(ns), stride)
-			out := NewBatch(len(ns), stride)
+			x := newBatch(len(ns), stride)
+			out := newBatch(len(ns), stride)
 			for l, n := range ns {
-				fillLane(x, l, randComplex(rng, n))
+				fillLane(x, l, randSignal(rng, n))
 			}
-			ar := NewArena()
+			ar := &Arena{}
 			kern.CrossCorrelateBatch(out, x, ar)
 			for l, n := range ns {
 				want := kern.CrossCorrelateTo(nil, x.Lane(l), nil)
+				plain := CrossCorrelateTo(nil, x.Lane(l), ref, nil)
 				got := out.Lane(l)
 				if n < m {
 					if len(got) != 0 {
@@ -124,8 +61,9 @@ func TestCrossCorrelateBatchMatchesSerial(t *testing.T) {
 					t.Fatalf("m=%d case=%d lane=%d: len %d != %d", m, ci, l, len(got), len(want))
 				}
 				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("m=%d case=%d lane=%d lag=%d: %v != %v", m, ci, l, k, got[k], want[k])
+					if got[k] != want[k] || plain[k] != want[k] {
+						t.Fatalf("m=%d case=%d lane=%d lag=%d: batch %v, kernel %v, package %v",
+							m, ci, l, k, got[k], want[k], plain[k])
 					}
 				}
 			}
@@ -134,21 +72,21 @@ func TestCrossCorrelateBatchMatchesSerial(t *testing.T) {
 }
 
 // The batched kernels must allocate nothing in steady state when fed a
-// warmed arena and reused batches (mirrors the PR 4 hot-path guards).
+// warmed arena and reused batches, like TestHotKernelsZeroAlloc.
 func TestBatchKernelsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rng := rand.New(rand.NewSource(13))
-	ref := randComplex(rng, 63)
+	ref := randSignal(rng, 63)
 	kern := NewCorrKernel(ref)
 	const lanes, n = 16, 400
-	x := NewBatch(lanes, n)
-	out := NewBatch(lanes, n)
+	x := newBatch(lanes, n)
+	out := newBatch(lanes, n)
 	for l := 0; l < lanes; l++ {
-		fillLane(x, l, randComplex(rng, n))
+		fillLane(x, l, randSignal(rng, n))
 	}
-	ar := NewArena()
+	ar := &Arena{}
 	kern.CrossCorrelateBatch(out, x, ar) // warm arena + spectrum cache
 	allocs := testing.AllocsPerRun(20, func() {
 		kern.CrossCorrelateBatch(out, x, ar)
@@ -156,18 +94,11 @@ func TestBatchKernelsZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("CrossCorrelateBatch allocates %v per run, want 0", allocs)
 	}
-	FFTBatchTo(out, x, n, ar)
-	allocs = testing.AllocsPerRun(20, func() {
-		FFTBatchTo(out, x, n, ar)
-	})
-	if allocs != 0 {
-		t.Fatalf("FFTBatchTo allocates %v per run, want 0", allocs)
-	}
 }
 
 func TestBatchReuseShrinksAndGrows(t *testing.T) {
-	b := NewBatch(4, 100)
-	fillLane(b, 3, randComplex(rand.New(rand.NewSource(1)), 100))
+	b := newBatch(4, 100)
+	fillLane(b, 3, randSignal(rand.New(rand.NewSource(1)), 100))
 	b.Reset(2, 50)
 	if b.Lanes() != 2 || b.Stride() != 50 {
 		t.Fatalf("reset shape: %d lanes stride %d", b.Lanes(), b.Stride())
@@ -179,41 +110,6 @@ func TestBatchReuseShrinksAndGrows(t *testing.T) {
 	b.SetLaneLen(7, 200)
 	if len(b.Lane(7)) != 200 {
 		t.Fatalf("grown lane length %d", len(b.Lane(7)))
-	}
-}
-
-func BenchmarkFFTBatch(b *testing.B) {
-	for _, lanes := range []int{8, 64} {
-		b.Run(fmt.Sprintf("batched-%d", lanes), func(b *testing.B) {
-			const n = 512
-			rng := rand.New(rand.NewSource(1))
-			x := NewBatch(lanes, n)
-			dst := NewBatch(lanes, n)
-			for l := 0; l < lanes; l++ {
-				fillLane(x, l, randComplex(rng, n))
-			}
-			ar := NewArena()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				FFTBatchTo(dst, x, n, ar)
-			}
-		})
-		b.Run(fmt.Sprintf("serial-%d", lanes), func(b *testing.B) {
-			const n = 512
-			rng := rand.New(rand.NewSource(1))
-			p := PlanFFT(n)
-			x := make([][]complex128, lanes)
-			for l := range x {
-				x[l] = randComplex(rng, n)
-			}
-			dst := make([]complex128, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for l := 0; l < lanes; l++ {
-					p.FFTTo(dst, x[l])
-				}
-			}
-		})
 	}
 }
 

@@ -1,77 +1,35 @@
 package dsp
 
 import (
-	"math"
 	"math/cmplx"
 	"sync"
 )
 
-// CrossCorrelate returns the full linear cross-correlation of x with the
-// reference ref:
+// directMax is the largest n*m work (input length times reference
+// length) correlated by the direct loop; larger problems take the FFT
+// path.
+const directMax = 1 << 14
+
+// CrossCorrelateTo writes the valid-lag linear cross-correlation of x
+// with the reference ref into dst (grown only when its capacity is
+// short) and returns it:
 //
 //	r[k] = sum_n x[n+k] * conj(ref[n]),  k = 0 .. len(x)-len(ref)
 //
-// (valid lags only: the reference fully overlaps x). It returns nil when
-// ref is longer than x or either is empty. Uses FFT fast correlation when
-// the work is large enough to pay for it.
-func CrossCorrelate(x, ref []complex128) []complex128 {
-	return CrossCorrelateTo(nil, x, ref, nil)
-}
-
-// CrossCorrelateTo is CrossCorrelate writing into dst (grown only when
-// its capacity is short) with FFT scratch borrowed from ar. A nil ar
-// falls back to fresh allocation; with an arena and a capacious dst the
-// call is allocation-free in steady state. Values are bit-identical to
-// CrossCorrelate.
+// It returns nil when ref is longer than x or either is empty. Small
+// problems run the direct loop; larger ones use FFT fast correlation
+// with scratch borrowed from ar. A nil ar falls back to fresh
+// allocation; with an arena and a capacious dst the call is
+// allocation-free in steady state.
 func CrossCorrelateTo(dst []complex128, x, ref []complex128, ar *Arena) []complex128 {
-	n, m := len(x), len(ref)
-	if m == 0 || n < m {
-		return nil
-	}
-	lags := n - m + 1
-	// Direct method for small problems.
-	if n*m <= 1<<14 {
-		out := growComplex(dst, lags)
-		for k := 0; k < lags; k++ {
-			var acc complex128
-			for i := 0; i < m; i++ {
-				acc += x[k+i] * cmplx.Conj(ref[i])
-			}
-			out[k] = acc
-		}
-		return out
-	}
-	// FFT method: correlation is convolution with the conjugate-reversed
-	// reference.
-	size := NextPow2(n + m - 1)
-	p := PlanFFT(size)
-	fx := ar.ComplexZeroed(size)
-	fr := ar.ComplexZeroed(size)
-	copy(fx, x)
-	for i := 0; i < m; i++ {
-		fr[i] = cmplx.Conj(ref[m-1-i])
-	}
-	p.radix2To(fx, fx, false)
-	p.radix2To(fr, fr, false)
-	for i := range fx {
-		fx[i] *= fr[i]
-	}
-	p.radix2To(fx, fx, true)
-	scale := complex(1/float64(size), 0)
-	out := growComplex(dst, lags)
-	for k := 0; k < lags; k++ {
-		out[k] = fx[k+m-1] * scale
-	}
-	ar.PutComplex(fr)
-	ar.PutComplex(fx)
-	return out
+	return crossCorrelate(dst, x, ref, nil, ar)
 }
 
 // CorrKernel caches the forward-transformed, conjugate-reversed spectrum
 // of a fixed reference sequence, so repeated correlations against the
 // same reference (a receiver's preamble search) pay one forward and one
 // inverse FFT per call instead of two forward and one inverse. Safe for
-// concurrent use; results are bit-identical to CrossCorrelate.
+// concurrent use; results are bit-identical to CrossCorrelateTo.
 type CorrKernel struct {
 	ref []complex128
 
@@ -86,33 +44,38 @@ func NewCorrKernel(ref []complex128) *CorrKernel {
 	return &CorrKernel{ref: r, spec: make(map[int][]complex128)}
 }
 
-// Ref returns the kernel's reference sequence. The slice is shared and
-// must not be modified.
-func (kn *CorrKernel) Ref() []complex128 { return kn.ref }
-
 // CrossCorrelateTo correlates x against the kernel's reference, writing
 // into dst with FFT scratch from ar, exactly as the package-level
 // CrossCorrelateTo would with the same reference.
 func (kn *CorrKernel) CrossCorrelateTo(dst, x []complex128, ar *Arena) []complex128 {
-	n, m := len(x), len(kn.ref)
+	return crossCorrelate(dst, x, kn.ref, kn, ar)
+}
+
+// crossCorrelate is the body of both CrossCorrelateTo entry points. On
+// the FFT path the reference spectrum comes from kn's cache when kn is
+// non-nil (kn.ref must then be ref) and is transformed into arena
+// scratch otherwise; both spectra are the same bits.
+func crossCorrelate(dst, x, ref []complex128, kn *CorrKernel, ar *Arena) []complex128 {
+	n, m := len(x), len(ref)
 	if m == 0 || n < m {
 		return nil
 	}
 	lags := n - m + 1
-	if n*m <= 1<<14 {
-		out := growComplex(dst, lags)
-		for k := 0; k < lags; k++ {
-			var acc complex128
-			for i := 0; i < m; i++ {
-				acc += x[k+i] * cmplx.Conj(kn.ref[i])
-			}
-			out[k] = acc
-		}
+	out := GrowComplex(dst, lags)
+	if n*m <= directMax {
+		correlateDirect(out, x, ref)
 		return out
 	}
+	// Correlation is convolution with the conjugate-reversed reference.
 	size := NextPow2(n + m - 1)
 	p := PlanFFT(size)
-	spec := kn.spectrum(size, p)
+	var spec []complex128
+	if kn != nil {
+		spec = kn.spectrum(size, p)
+	} else {
+		spec = ar.ComplexZeroed(size)
+		refSpectrum(spec, ref, p)
+	}
 	fx := ar.ComplexZeroed(size)
 	copy(fx, x)
 	p.radix2To(fx, fx, false)
@@ -121,12 +84,38 @@ func (kn *CorrKernel) CrossCorrelateTo(dst, x []complex128, ar *Arena) []complex
 	}
 	p.radix2To(fx, fx, true)
 	scale := complex(1/float64(size), 0)
-	out := growComplex(dst, lags)
 	for k := 0; k < lags; k++ {
 		out[k] = fx[k+m-1] * scale
 	}
+	if kn == nil {
+		ar.PutComplex(spec)
+	}
 	ar.PutComplex(fx)
 	return out
+}
+
+// correlateDirect is the O(n*m) valid-lag correlation loop, writing
+// len(x)-len(ref)+1 lags into out.
+func correlateDirect(out, x, ref []complex128) {
+	m := len(ref)
+	for k := range out {
+		var acc complex128
+		for i := 0; i < m; i++ {
+			acc += x[k+i] * cmplx.Conj(ref[i])
+		}
+		out[k] = acc
+	}
+}
+
+// refSpectrum writes the forward transform of the zero-padded,
+// conjugate-reversed reference into fr, which must be zeroed and of the
+// plan's size.
+func refSpectrum(fr, ref []complex128, p *Plan) {
+	m := len(ref)
+	for i := 0; i < m; i++ {
+		fr[i] = cmplx.Conj(ref[m-1-i])
+	}
+	p.radix2To(fr, fr, false)
 }
 
 // spectrum returns the reference spectrum at the given FFT size,
@@ -139,90 +128,8 @@ func (kn *CorrKernel) spectrum(size int, p *Plan) []complex128 {
 	if s, ok := kn.spec[size]; ok {
 		return s
 	}
-	m := len(kn.ref)
 	fr := make([]complex128, size)
-	for i := 0; i < m; i++ {
-		fr[i] = cmplx.Conj(kn.ref[m-1-i])
-	}
-	p.radix2To(fr, fr, false)
+	refSpectrum(fr, kn.ref, p)
 	kn.spec[size] = fr
 	return fr
-}
-
-// PeakIndex returns the index of the maximum-magnitude sample and that
-// magnitude. It returns (-1, 0) for empty input.
-func PeakIndex(x []complex128) (int, float64) {
-	best, bestMag := -1, 0.0
-	for i, v := range x {
-		m := cmplxAbs(v)
-		if m > bestMag || best == -1 {
-			best, bestMag = i, m
-		}
-	}
-	return best, bestMag
-}
-
-// NormalizedPeak returns the correlation peak magnitude normalized by the
-// energies of the two sequences (1.0 = perfect match). Used as a preamble
-// detection statistic.
-func NormalizedPeak(x, ref []complex128) (lag int, score float64) {
-	return NormalizedPeakWith(x, ref, nil)
-}
-
-// NormalizedPeakWith is NormalizedPeak with correlation scratch
-// borrowed from ar (nil ar allocates fresh). Scores are bit-identical
-// to NormalizedPeak.
-func NormalizedPeakWith(x, ref []complex128, ar *Arena) (lag int, score float64) {
-	if len(ref) == 0 || len(x) < len(ref) {
-		return -1, 0
-	}
-	r := CrossCorrelateTo(ar.Complex(len(x)-len(ref)+1), x, ref, ar)
-	defer ar.PutComplex(r)
-	refE := Energy(ref)
-	if refE == 0 {
-		return -1, 0
-	}
-	best, bestScore := -1, 0.0
-	for k, v := range r {
-		segE := Energy(x[k : k+len(ref)])
-		if segE == 0 {
-			continue
-		}
-		s := cmplxAbs(v) / math.Sqrt(segE*refE)
-		if s > bestScore {
-			best, bestScore = k, s
-		}
-	}
-	return best, bestScore
-}
-
-// Goertzel computes the DFT of x at a single normalized frequency
-// fNorm (cycles/sample) using the Goertzel recurrence — the standard
-// low-cost single-bin detector for tone presence tests.
-func Goertzel(x []complex128, fNorm float64) complex128 {
-	w := 2 * math.Pi * fNorm
-	coeff := 2 * math.Cos(w)
-	var s1re, s2re, s1im, s2im float64
-	for _, v := range x {
-		s0re := real(v) + coeff*s1re - s2re
-		s0im := imag(v) + coeff*s1im - s2im
-		s2re, s1re = s1re, s0re
-		s2im, s1im = s1im, s0im
-	}
-	// X(f) = e^{jw} * s1 - s2 (exact for integer bins f = k/N).
-	c, s := math.Cos(w), math.Sin(w)
-	re := c*s1re - s*s1im - s2re
-	im := c*s1im + s*s1re - s2im
-	return complex(re, im)
-}
-
-// GoertzelPower returns |Goertzel(x, fNorm)|^2 normalized by block length
-// squared, i.e. the power of a unit tone at fNorm measures ~1.
-func GoertzelPower(x []complex128, fNorm float64) float64 {
-	g := Goertzel(x, fNorm)
-	n := float64(len(x))
-	if n == 0 {
-		return 0
-	}
-	return (real(g)*real(g) + imag(g)*imag(g)) / (n * n)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 )
 
@@ -24,23 +25,27 @@ func naiveCorrelate(x, ref []complex128) []complex128 {
 	return out
 }
 
+// Below the FFT threshold the direct loop runs in the reference's own
+// summation order, so the result is bit-identical to it.
 func TestCrossCorrelateMatchesNaiveSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := randSignal(rng, 60)
 	ref := randSignal(rng, 13)
-	got := CrossCorrelate(x, ref)
+	got := CrossCorrelateTo(nil, x, ref, nil)
 	want := naiveCorrelate(x, ref)
-	if e := maxErr(got, want); e > 1e-9 {
-		t.Fatalf("small correlate error %g", e)
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("lag %d: direct %v != naive %v", k, got[k], want[k])
+		}
 	}
 }
 
 func TestCrossCorrelateMatchesNaiveLarge(t *testing.T) {
-	// Force the FFT path (n*m > 2^14).
+	// Force the FFT path (n*m > directMax).
 	rng := rand.New(rand.NewSource(11))
 	x := randSignal(rng, 600)
 	ref := randSignal(rng, 100)
-	got := CrossCorrelate(x, ref)
+	got := CrossCorrelateTo(nil, x, ref, nil)
 	want := naiveCorrelate(x, ref)
 	if e := maxErr(got, want); e > 1e-6 {
 		t.Fatalf("large correlate error %g", e)
@@ -48,15 +53,15 @@ func TestCrossCorrelateMatchesNaiveLarge(t *testing.T) {
 }
 
 func TestCrossCorrelateEdgeCases(t *testing.T) {
-	if CrossCorrelate(nil, nil) != nil {
+	if CrossCorrelateTo(nil, nil, nil, nil) != nil {
 		t.Fatal("empty inputs must return nil")
 	}
-	if CrossCorrelate([]complex128{1}, []complex128{1, 2}) != nil {
+	if CrossCorrelateTo(nil, []complex128{1}, []complex128{1, 2}, nil) != nil {
 		t.Fatal("ref longer than x must return nil")
 	}
 	// x == ref: single lag equal to the energy.
 	x := []complex128{1 + 1i, 2, -3i}
-	r := CrossCorrelate(x, x)
+	r := CrossCorrelateTo(nil, x, x, nil)
 	if len(r) != 1 {
 		t.Fatalf("lags = %d, want 1", len(r))
 	}
@@ -65,77 +70,85 @@ func TestCrossCorrelateEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPeakIndex(t *testing.T) {
-	x := []complex128{1, -5i, 2}
-	i, m := PeakIndex(x)
-	if i != 1 || math.Abs(m-5) > 1e-15 {
-		t.Fatalf("peak (%d, %g)", i, m)
-	}
-	i, m = PeakIndex(nil)
-	if i != -1 || m != 0 {
-		t.Fatal("empty peak must be (-1, 0)")
-	}
-}
-
-func TestNormalizedPeakFindsEmbeddedPreamble(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	pre := randSignal(rng, 31)
-	// Bury the preamble at offset 100 in noise 20 dB below it.
-	x := randSignal(rng, 256)
-	Scale(x, 0.1)
-	for i, v := range pre {
-		x[100+i] += v
-	}
-	lag, score := NormalizedPeak(x, pre)
-	if lag != 100 {
-		t.Fatalf("preamble found at %d, want 100", lag)
-	}
-	if score < 0.9 {
-		t.Fatalf("peak score %g, want > 0.9", score)
-	}
-}
-
-func TestNormalizedPeakScoreBounds(t *testing.T) {
-	// Perfect match scores 1.
-	rng := rand.New(rand.NewSource(13))
-	x := randSignal(rng, 64)
-	lag, score := NormalizedPeak(x, x)
-	if lag != 0 || math.Abs(score-1) > 1e-9 {
-		t.Fatalf("self peak (%d, %g)", lag, score)
-	}
-	// Degenerate reference.
-	if lag, score := NormalizedPeak(x, make([]complex128, 8)); lag != -1 || score != 0 {
-		t.Fatal("zero-energy ref must return (-1, 0)")
-	}
-}
-
-func TestGoertzelMatchesFFTBin(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	x := randSignal(rng, 128)
-	spec := FFT(x)
-	for _, k := range []int{0, 1, 17, 64, 127} {
-		g := Goertzel(x, float64(k)/128)
-		if cmplx.Abs(g-spec[k]) > 1e-8 {
-			t.Fatalf("bin %d: goertzel %v vs fft %v", k, g, spec[k])
+// The kernel's cached spectrum and the package-level per-call spectrum
+// must give the same bits on both paths, with and without arena scratch.
+func TestCorrKernelMatchesCrossCorrelate(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, c := range []struct{ n, m int }{
+		{100, 16},  // direct path (n*m below the FFT threshold)
+		{2000, 31}, // FFT path
+		{5000, 64}, // FFT path, larger
+	} {
+		x := randSignal(rng, c.n)
+		ref := randSignal(rng, c.m)
+		want := CrossCorrelateTo(nil, x, ref, nil)
+		if e := maxErr(want, naiveCorrelate(x, ref)); e > 1e-9*float64(c.n) {
+			t.Fatalf("n=%d m=%d: naive correlation error %g", c.n, c.m, e)
+		}
+		kn := NewCorrKernel(ref)
+		got := kn.CrossCorrelateTo(nil, x, nil)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d m=%d: length %d vs %d", c.n, c.m, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d m=%d lag %d: kernel %v != direct %v", c.n, c.m, i, got[i], want[i])
+			}
+		}
+		// Repeat with arena scratch and a reused dst: still bit-identical,
+		// and the cached spectrum serves the second call.
+		ar := &Arena{}
+		dst := make([]complex128, len(want))
+		for rep := 0; rep < 2; rep++ {
+			for _, got := range [][]complex128{
+				kn.CrossCorrelateTo(dst, x, ar),
+				CrossCorrelateTo(dst, x, ref, ar),
+			} {
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d m=%d rep %d: arena correlation diverged at lag %d", c.n, c.m, rep, i)
+					}
+				}
+			}
 		}
 	}
 }
 
-func TestGoertzelPowerToneDetection(t *testing.T) {
-	// The node-side tone detector: power ~1 when the tone is present,
-	// ~0 when absent.
-	n := 256
-	f := 0.1
-	present := Tone(f, 1, n, 0.4)
-	if p := GoertzelPower(present, f); math.Abs(p-1) > 1e-9 {
-		t.Fatalf("present power %g", p)
+func TestCorrKernelDegenerate(t *testing.T) {
+	kn := NewCorrKernel(nil)
+	if out := kn.CrossCorrelateTo(nil, make([]complex128, 8), nil); out != nil {
+		t.Fatal("empty reference must yield nil")
 	}
-	absent := Tone(0.3, 1, n, 0)
-	if p := GoertzelPower(absent, f); p > 1e-3 {
-		t.Fatalf("absent power %g", p)
+	kn = NewCorrKernel(make([]complex128, 8))
+	if out := kn.CrossCorrelateTo(nil, make([]complex128, 4), nil); out != nil {
+		t.Fatal("x shorter than reference must yield nil")
 	}
-	if GoertzelPower(nil, f) != 0 {
-		t.Fatal("empty power must be 0")
+}
+
+// Both correlation entry points allocate nothing in steady state once
+// fed a warmed arena and a capacious dst.
+func TestHotKernelsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(28))
+	x := randSignal(rng, 2048)
+	ref := randSignal(rng, 31)
+	kn := NewCorrKernel(ref)
+	ar := &Arena{}
+	out := make([]complex128, len(x)-len(ref)+1)
+	kn.CrossCorrelateTo(out, x, ar)
+	if allocs := testing.AllocsPerRun(20, func() {
+		kn.CrossCorrelateTo(out, x, ar)
+	}); allocs != 0 {
+		t.Errorf("CorrKernel.CrossCorrelateTo allocates %.1f/op, want 0", allocs)
+	}
+	CrossCorrelateTo(out, x, ref, ar)
+	if allocs := testing.AllocsPerRun(20, func() {
+		CrossCorrelateTo(out, x, ref, ar)
+	}); allocs != 0 {
+		t.Errorf("CrossCorrelateTo allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -143,17 +156,25 @@ func BenchmarkCrossCorrelateFFT(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randSignal(rng, 4096)
 	ref := randSignal(rng, 128)
+	ar := &Arena{}
+	out := make([]complex128, len(x)-len(ref)+1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CrossCorrelate(x, ref)
+		CrossCorrelateTo(out, x, ref, ar)
 	}
 }
 
-func BenchmarkGoertzel(b *testing.B) {
+func BenchmarkCrossCorrelateTo(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	x := randSignal(rng, 1024)
+	x := randSignal(rng, 4096)
+	ref := randSignal(rng, 31)
+	kn := NewCorrKernel(ref)
+	ar := &Arena{}
+	out := make([]complex128, len(x)-len(ref)+1)
+	kn.CrossCorrelateTo(out, x, ar)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Goertzel(x, 0.1)
+		kn.CrossCorrelateTo(out, x, ar)
 	}
 }

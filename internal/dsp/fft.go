@@ -1,8 +1,12 @@
-// Package dsp implements the complex-baseband digital signal processing
-// substrate for the mmTag simulator: FFTs of arbitrary length, window
-// functions, FIR filter design and application, numerically controlled
-// oscillators and mixing, correlation, resampling, and spectral
-// estimation.
+// Package dsp implements the complex-baseband kernels under the AP's
+// receive chain: cached radix-2 FFT plans, valid-lag cross-correlation
+// (direct, FFT, and batched over structure-of-arrays lanes), and the
+// scratch arenas that keep those kernels allocation-free in steady
+// state.
+//
+// signal.go (oscillator, mixing, delays, Goertzel, DC blocker) and
+// window.go (spectral windows) are not on that chain: no binary runs
+// them, and scripts/unreached.go lists them as pending deletion.
 //
 // Signals are []complex128 sample slices at an implicit sample rate that
 // callers carry alongside. All transforms are deterministic and
@@ -15,76 +19,6 @@ package dsp
 import (
 	"math/bits"
 )
-
-// FFT returns the discrete Fourier transform of x. The input is not
-// modified. Power-of-two lengths use an iterative radix-2
-// decimation-in-time transform; other lengths use Bluestein's algorithm.
-// Both run through the cached per-size Plan (see PlanFFT), so repeated
-// transforms of a size pay no twiddle recomputation. FFT of an empty
-// slice returns an empty slice. Allocates the output; FFTTo is the
-// allocation-free variant.
-func FFT(x []complex128) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	return FFTTo(nil, x)
-}
-
-// IFFT returns the inverse discrete Fourier transform of x, scaled by 1/N
-// so that IFFT(FFT(x)) == x. Allocates the output; IFFTTo is the
-// allocation-free variant.
-func IFFT(x []complex128) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	return IFFTTo(nil, x)
-}
-
-// fftInPlace computes an unscaled forward (inverse=false) or inverse
-// (inverse=true, still unscaled) DFT of x in place.
-func fftInPlace(x []complex128, inverse bool) {
-	if len(x) <= 1 {
-		return
-	}
-	PlanFFT(len(x)).transformTo(x, x, inverse)
-}
-
-// FFTReal transforms a real-valued signal, returning the full complex
-// spectrum of length len(x).
-func FFTReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	fftInPlace(c, false)
-	return c
-}
-
-// FFTShift rotates a spectrum so the zero-frequency bin is centred,
-// matching the conventional plot order. It returns a new slice.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
-// FFTFreqs returns the frequency (Hz) of each FFT bin for an N-point
-// transform at the given sample rate, in natural (unshifted) bin order:
-// bins [0, N/2) are non-negative, bins [N/2, N) are negative.
-func FFTFreqs(n int, sampleRate float64) []float64 {
-	f := make([]float64, n)
-	for i := 0; i < n; i++ {
-		k := i
-		if i >= (n+1)/2 {
-			k = i - n
-		}
-		f[i] = float64(k) * sampleRate / float64(n)
-	}
-	return f
-}
 
 // NextPow2 returns the smallest power of two >= n (and 1 for n <= 1).
 func NextPow2(n int) int {

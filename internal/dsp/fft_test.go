@@ -16,14 +16,19 @@ func randSignal(rng *rand.Rand, n int) []complex128 {
 	return x
 }
 
-// naiveDFT is an O(n^2) reference implementation.
-func naiveDFT(x []complex128) []complex128 {
+// naiveDFT is an O(n^2) reference implementation of the unscaled
+// forward (inverse=false) or inverse DFT.
+func naiveDFT(x []complex128, inverse bool) []complex128 {
 	n := len(x)
+	sign := -1.0
+	if inverse {
+		sign = 1
+	}
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var acc complex128
 		for t := 0; t < n; t++ {
-			phi := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			phi := sign * 2 * math.Pi * float64(k) * float64(t) / float64(n)
 			acc += x[t] * cmplx.Exp(complex(0, phi))
 		}
 		out[k] = acc
@@ -41,24 +46,87 @@ func maxErr(a, b []complex128) float64 {
 	return m
 }
 
+// fft returns the planned forward transform of x (power-of-two length).
+func fft(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	PlanFFT(len(x)).radix2To(out, x, false)
+	return out
+}
+
+// ifft returns the planned inverse transform of x scaled by 1/N, so
+// ifft(fft(x)) == x up to rounding.
+func ifft(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	PlanFFT(len(x)).radix2To(out, x, true)
+	s := complex(1/float64(len(x)), 0)
+	for i := range out {
+		out[i] *= s
+	}
+	return out
+}
+
+// radix2To must match the O(n^2) DFT in both directions.
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// Power-of-two and awkward (prime, composite) lengths.
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 31, 64, 100, 127, 128, 240} {
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024} {
 		x := randSignal(rng, n)
-		got := FFT(x)
-		want := naiveDFT(x)
-		if e := maxErr(got, want); e > 1e-8*float64(n) {
-			t.Fatalf("n=%d: max error %g", n, e)
+		for _, inverse := range []bool{false, true} {
+			got := make([]complex128, n)
+			PlanFFT(n).radix2To(got, x, inverse)
+			if e := maxErr(got, naiveDFT(x, inverse)); e > 1e-8*float64(n) {
+				t.Fatalf("n=%d inverse=%v: max error %g", n, inverse, e)
+			}
+		}
+	}
+}
+
+// The in-place form of radix2To (dst == x, the form the correlators
+// run) must produce the same bits as the out-of-place one.
+func TestFFTToInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 16, 128, 1024} {
+		x := randSignal(rng, n)
+		for _, inverse := range []bool{false, true} {
+			want := make([]complex128, n)
+			PlanFFT(n).radix2To(want, x, inverse)
+			got := append([]complex128(nil), x...)
+			PlanFFT(n).radix2To(got, got, inverse)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d inverse=%v bin %d: in-place %v != out-of-place %v",
+						n, inverse, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestFFTToZeroAlloc pins the plan contract: once a size's plan exists,
+// transforms in both directions allocate nothing.
+func TestFFTToZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{64, 1024} {
+		p := PlanFFT(n)
+		x := randSignal(rng, n)
+		dst := make([]complex128, n)
+		for _, inverse := range []bool{false, true} {
+			if allocs := testing.AllocsPerRun(20, func() {
+				p.radix2To(dst, x, inverse)
+			}); allocs != 0 {
+				t.Errorf("n=%d inverse=%v: radix2To allocates %.1f/op, want 0", n, inverse, allocs)
+			}
 		}
 	}
 }
 
 func TestFFTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 2, 8, 13, 64, 100, 257, 1024} {
+	for _, n := range []int{1, 2, 8, 16, 64, 256, 1024} {
 		x := randSignal(rng, n)
-		back := IFFT(FFT(x))
+		back := ifft(fft(x))
 		if e := maxErr(back, x); e > 1e-9*float64(n) {
 			t.Fatalf("n=%d: round-trip error %g", n, e)
 		}
@@ -68,10 +136,10 @@ func TestFFTRoundTrip(t *testing.T) {
 func TestFFTRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw)%200 + 1
+		n := 1 << (nRaw % 9)
 		r := rand.New(rand.NewSource(seed))
 		x := randSignal(r, n)
-		back := IFFT(FFT(x))
+		back := ifft(fft(x))
 		return maxErr(back, x) < 1e-8*float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rng}); err != nil {
@@ -81,9 +149,9 @@ func TestFFTRoundTripProperty(t *testing.T) {
 
 func TestFFTParseval(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{16, 33, 128, 250} {
+	for _, n := range []int{16, 32, 128, 256} {
 		x := randSignal(rng, n)
-		spec := FFT(x)
+		spec := fft(x)
 		tEnergy := Energy(x)
 		fEnergy := Energy(spec) / float64(n)
 		if math.Abs(tEnergy-fEnergy) > 1e-8*tEnergy {
@@ -94,7 +162,7 @@ func TestFFTParseval(t *testing.T) {
 
 func TestFFTLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	n := 96
+	n := 128
 	x := randSignal(rng, n)
 	y := randSignal(rng, n)
 	a, b := complex(1.7, -0.3), complex(-0.5, 2.2)
@@ -102,8 +170,8 @@ func TestFFTLinearity(t *testing.T) {
 	for i := range sum {
 		sum[i] = a*x[i] + b*y[i]
 	}
-	lhs := FFT(sum)
-	fx, fy := FFT(x), FFT(y)
+	lhs := fft(sum)
+	fx, fy := fft(x), fft(y)
 	rhs := make([]complex128, n)
 	for i := range rhs {
 		rhs[i] = a*fx[i] + b*fy[i]
@@ -117,7 +185,7 @@ func TestFFTImpulse(t *testing.T) {
 	// FFT of a unit impulse is all ones.
 	x := make([]complex128, 32)
 	x[0] = 1
-	for i, v := range FFT(x) {
+	for i, v := range fft(x) {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("bin %d = %v, want 1", i, v)
 		}
@@ -128,8 +196,11 @@ func TestFFTToneBin(t *testing.T) {
 	// A pure tone at bin k concentrates all energy in that bin.
 	n := 128
 	k := 5
-	x := Tone(float64(k)/float64(n), 1, n, 0)
-	spec := FFT(x)
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = cmplx.Exp(complex(0, 2*math.Pi*float64(k*i)/float64(n)))
+	}
+	spec := fft(x)
 	for i, v := range spec {
 		mag := cmplx.Abs(v)
 		if i == k {
@@ -143,47 +214,54 @@ func TestFFTToneBin(t *testing.T) {
 }
 
 func TestFFTEmptyAndSingle(t *testing.T) {
-	if got := FFT(nil); got != nil {
-		t.Fatal("FFT(nil) should be nil")
-	}
-	got := FFT([]complex128{3 + 4i})
-	if len(got) != 1 || cmplx.Abs(got[0]-(3+4i)) > 1e-15 {
-		t.Fatalf("FFT single = %v", got)
-	}
-}
-
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	s := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("shift even: got %v want %v", s, want)
-		}
-	}
-	x = []complex128{0, 1, 2, 3, 4}
-	s = FFTShift(x)
-	want = []complex128{3, 4, 0, 1, 2}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("shift odd: got %v want %v", s, want)
-		}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("PlanFFT(0) must panic")
+			}
+		}()
+		PlanFFT(0)
+	}()
+	got := fft([]complex128{3 + 4i})
+	if len(got) != 1 || got[0] != 3+4i {
+		t.Fatalf("1-point FFT = %v", got)
 	}
 }
 
-func TestFFTFreqs(t *testing.T) {
-	f := FFTFreqs(4, 1000)
-	want := []float64{0, 250, -500, -250}
-	for i := range want {
-		if math.Abs(f[i]-want[i]) > 1e-9 {
-			t.Fatalf("freqs got %v want %v", f, want)
-		}
-	}
-	f = FFTFreqs(5, 1000)
-	want = []float64{0, 200, 400, -400, -200}
-	for i := range want {
-		if math.Abs(f[i]-want[i]) > 1e-9 {
-			t.Fatalf("freqs odd got %v want %v", f, want)
+// Every lane of the interleaved batch transform must be bit-identical
+// to a per-lane radix2To, for both directions and any lane count
+// (including the unrolled 8-lane path), and so match the naive DFT.
+func TestFFTBatchMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 8, 64, 512} {
+		p := PlanFFT(n)
+		for _, lanes := range []int{1, 2, 7, 8, 64} {
+			x := make([][]complex128, lanes)
+			for l := range x {
+				x[l] = randSignal(rng, n)
+			}
+			for _, inverse := range []bool{false, true} {
+				buf := make([]complex128, n*lanes)
+				for l, lane := range x {
+					for i, v := range lane {
+						buf[i*lanes+l] = v
+					}
+				}
+				p.radix2Batch(buf, lanes, inverse)
+				want := make([]complex128, n)
+				for l, lane := range x {
+					p.radix2To(want, lane, inverse)
+					for i := range want {
+						if got := buf[i*lanes+l]; got != want[i] {
+							t.Fatalf("n=%d lanes=%d inv=%v lane=%d idx=%d: %v != %v",
+								n, lanes, inverse, l, i, got, want[i])
+						}
+					}
+					if e := maxErr(want, naiveDFT(lane, inverse)); e > 1e-8*float64(n) {
+						t.Fatalf("n=%d lanes=%d inv=%v lane=%d: naive DFT error %g", n, lanes, inverse, l, e)
+					}
+				}
+			}
 		}
 	}
 }
@@ -197,54 +275,17 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func TestFFTRealMatchesComplex(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	x := make([]float64, 50)
-	c := make([]complex128, 50)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		c[i] = complex(x[i], 0)
-	}
-	if e := maxErr(FFTReal(x), FFT(c)); e > 1e-10 {
-		t.Fatalf("FFTReal mismatch %g", e)
-	}
-}
-
-func TestFFTRealConjugateSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	spec := FFTReal(x)
-	n := len(spec)
-	for k := 1; k < n; k++ {
-		if cmplx.Abs(spec[k]-cmplx.Conj(spec[n-k])) > 1e-9 {
-			t.Fatalf("conjugate symmetry violated at bin %d", k)
-		}
-	}
-}
-
-func BenchmarkFFT1024(b *testing.B) {
-	x := randSignal(rand.New(rand.NewSource(1)), 1024)
+func benchmarkFFT(b *testing.B, n int) {
+	x := randSignal(rand.New(rand.NewSource(1)), n)
+	dst := make([]complex128, n)
+	p := PlanFFT(n)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		p.radix2To(dst, x, false)
 	}
 }
 
-func BenchmarkFFT4096(b *testing.B) {
-	x := randSignal(rand.New(rand.NewSource(1)), 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FFT(x)
-	}
-}
+func BenchmarkFFT1024(b *testing.B) { benchmarkFFT(b, 1024) }
 
-func BenchmarkFFTBluestein1000(b *testing.B) {
-	x := randSignal(rand.New(rand.NewSource(1)), 1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FFT(x)
-	}
-}
+func BenchmarkFFT4096(b *testing.B) { benchmarkFFT(b, 4096) }

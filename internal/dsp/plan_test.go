@@ -1,111 +1,29 @@
 package dsp
 
 import (
+	"fmt"
 	"math/rand"
-	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 )
 
-func TestFFTToMatchesFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Power-of-two (radix-2 path) and awkward (Bluestein path) sizes.
-	for _, n := range []int{1, 2, 3, 5, 8, 12, 17, 64, 100, 127, 128, 1000, 1024} {
-		x := randSignal(rng, n)
-		want := FFT(x)
-		dst := make([]complex128, n)
-		got := FFTTo(dst, x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: FFTTo %v != FFT %v", n, i, got[i], want[i])
-			}
-		}
-		// Second pass through the same dst must reproduce the result.
-		got = FFTTo(dst, x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: reused-dst FFTTo diverged", n, i)
-			}
-		}
-	}
-}
-
-func TestIFFTToMatchesIFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{2, 7, 16, 100, 256, 1000} {
-		x := randSignal(rng, n)
-		want := IFFT(x)
-		got := IFFTTo(make([]complex128, n), x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: IFFTTo %v != IFFT %v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestFFTToInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{16, 100, 1024} {
-		x := randSignal(rng, n)
-		want := FFT(x)
-		buf := make([]complex128, n)
-		copy(buf, x)
-		got := FFTTo(buf, buf) // dst == x: fully in-place transform
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: in-place FFTTo diverged", n, i)
-			}
-		}
-	}
-}
-
-func TestFFTToEmptyAndGrow(t *testing.T) {
-	if got := FFTTo(nil, nil); len(got) != 0 {
-		t.Fatalf("FFTTo(nil, nil) length %d", len(got))
-	}
-	// Undersized dst must grow rather than panic.
-	x := randSignal(rand.New(rand.NewSource(14)), 32)
-	got := FFTTo(make([]complex128, 4), x)
-	if len(got) != 32 {
-		t.Fatalf("grown dst length %d", len(got))
-	}
-}
-
-func TestPlanSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FFTTo with wrong input length must panic")
-		}
-	}()
-	PlanFFT(8).FFTTo(nil, make([]complex128, 7))
-}
-
-// TestFFTToZeroAlloc pins the tentpole contract: once a size's plan
-// exists and dst has capacity, planned transforms allocate nothing. The
-// Bluestein path borrows scratch from the pooled arenas, so GC is
-// paused to keep sync.Pool from shedding its caches mid-measurement.
-func TestFFTToZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	rng := rand.New(rand.NewSource(15))
-	for _, n := range []int{64, 1024, 100, 1000} {
-		x := randSignal(rng, n)
-		dst := make([]complex128, n)
-		FFTTo(dst, x) // warm plan, arena and caches
-		if allocs := testing.AllocsPerRun(20, func() {
-			FFTTo(dst, x)
-		}); allocs != 0 {
-			t.Errorf("n=%d: FFTTo allocates %.1f/op, want 0", n, allocs)
-		}
-		IFFTTo(dst, x)
-		if allocs := testing.AllocsPerRun(20, func() {
-			IFFTTo(dst, x)
-		}); allocs != 0 {
-			t.Errorf("n=%d: IFFTTo allocates %.1f/op, want 0", n, allocs)
-		}
+// Every production transform size comes from NextPow2, so a plan for
+// any other size is a caller bug: it must panic and name the size.
+func TestPlanRejectsNonPowerOfTwo(t *testing.T) {
+	for _, n := range []int{1000, 3, 0, -4} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("PlanFFT(%d) did not panic", n)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, fmt.Sprint(n)) {
+					t.Fatalf("PlanFFT(%d) panic %q does not name the size", n, msg)
+				}
+			}()
+			PlanFFT(n)
+		}()
 	}
 }
 
@@ -114,9 +32,9 @@ func TestFFTToZeroAlloc(t *testing.T) {
 // same bits.
 func TestPlanConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	for _, n := range []int{256, 1000} {
+	for _, n := range []int{256, 1024} {
 		x := randSignal(rng, n)
-		want := FFT(x)
+		want := fft(x)
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
 		for g := 0; g < 8; g++ {
@@ -125,11 +43,11 @@ func TestPlanConcurrent(t *testing.T) {
 				defer wg.Done()
 				dst := make([]complex128, n)
 				for it := 0; it < 50; it++ {
-					got := FFTTo(dst, x)
+					PlanFFT(n).radix2To(dst, x, false)
 					for i := range want {
-						if got[i] != want[i] {
+						if dst[i] != want[i] {
 							select {
-							case errs <- errAt(n, i):
+							case errs <- fmt.Errorf("n=%d bin %d: concurrent transform diverged", n, i):
 							default:
 							}
 							return
@@ -143,33 +61,5 @@ func TestPlanConcurrent(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-type planErr struct{ n, bin int }
-
-func (e planErr) Error() string { return "concurrent FFTTo diverged" }
-
-func errAt(n, bin int) error { return planErr{n, bin} }
-
-func BenchmarkFFTTo1024(b *testing.B) {
-	x := randSignal(rand.New(rand.NewSource(1)), 1024)
-	dst := make([]complex128, 1024)
-	FFTTo(dst, x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FFTTo(dst, x)
-	}
-}
-
-func BenchmarkFFTToBluestein1000(b *testing.B) {
-	x := randSignal(rand.New(rand.NewSource(1)), 1000)
-	dst := make([]complex128, 1000)
-	FFTTo(dst, x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FFTTo(dst, x)
 	}
 }

@@ -192,15 +192,6 @@ func Normalize(x []complex128) []complex128 {
 	return Scale(x, 1/math.Sqrt(p))
 }
 
-// Magnitude returns |x[i]| for each sample.
-func Magnitude(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplxAbs(v)
-	}
-	return out
-}
-
 // MagnitudeSquared returns |x[i]|^2 for each sample. This models an ideal
 // square-law envelope detector output.
 func MagnitudeSquared(x []complex128) []float64 {
@@ -236,3 +227,94 @@ func Upsample(x []complex128, factor int) []complex128 {
 	}
 	return out
 }
+
+// PeakIndex returns the index of the maximum-magnitude sample and that
+// magnitude. It returns (-1, 0) for empty input.
+func PeakIndex(x []complex128) (int, float64) {
+	best, bestMag := -1, 0.0
+	for i, v := range x {
+		m := cmplxAbs(v)
+		if m > bestMag || best == -1 {
+			best, bestMag = i, m
+		}
+	}
+	return best, bestMag
+}
+
+// Goertzel computes the DFT of x at a single normalized frequency
+// fNorm (cycles/sample) using the Goertzel recurrence — the standard
+// low-cost single-bin detector for tone presence tests.
+func Goertzel(x []complex128, fNorm float64) complex128 {
+	w := 2 * math.Pi * fNorm
+	coeff := 2 * math.Cos(w)
+	var s1re, s2re, s1im, s2im float64
+	for _, v := range x {
+		s0re := real(v) + coeff*s1re - s2re
+		s0im := imag(v) + coeff*s1im - s2im
+		s2re, s1re = s1re, s0re
+		s2im, s1im = s1im, s0im
+	}
+	// X(f) = e^{jw} * s1 - s2 (exact for integer bins f = k/N).
+	c, s := math.Cos(w), math.Sin(w)
+	re := c*s1re - s*s1im - s2re
+	im := c*s1im + s*s1re - s2im
+	return complex(re, im)
+}
+
+// GoertzelPower returns |Goertzel(x, fNorm)|^2 normalized by block length
+// squared, i.e. the power of a unit tone at fNorm measures ~1.
+func GoertzelPower(x []complex128, fNorm float64) float64 {
+	g := Goertzel(x, fNorm)
+	n := float64(len(x))
+	if n == 0 {
+		return 0
+	}
+	return (real(g)*real(g) + imag(g)*imag(g)) / (n * n)
+}
+
+// DCBlocker is a single-pole IIR DC-removal filter:
+//
+//	y[n] = x[n] - x[n-1] + r*y[n-1]
+//
+// with r close to 1. It is the canonical low-cost structure an AP uses to
+// strip the DC term produced by self-interference after downconversion.
+type DCBlocker struct {
+	r      float64
+	xPrev  complex128
+	yPrev  complex128
+	primed bool
+}
+
+// NewDCBlocker returns a DC blocker with pole radius r in (0, 1).
+func NewDCBlocker(r float64) (*DCBlocker, error) {
+	if r <= 0 || r >= 1 {
+		return nil, fmt.Errorf("dsp: DC blocker pole radius %g outside (0,1)", r)
+	}
+	return &DCBlocker{r: r}, nil
+}
+
+// Process filters a block in streaming fashion, carrying state across
+// calls. It allocates the output slice.
+func (d *DCBlocker) Process(x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	for i, v := range x {
+		if !d.primed {
+			// Initialize history to the first sample so a constant
+			// input settles to zero output without a start-up step.
+			d.xPrev = v
+			d.primed = true
+		}
+		y := v - d.xPrev + complex(d.r, 0)*d.yPrev
+		d.xPrev = v
+		d.yPrev = y
+		out[i] = y
+	}
+	return out
+}
+
+// Reset clears the blocker's state.
+func (d *DCBlocker) Reset() {
+	d.xPrev, d.yPrev, d.primed = 0, 0, false
+}
+
+func cmplxAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }

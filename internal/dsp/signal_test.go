@@ -8,11 +8,67 @@ import (
 	"testing/quick"
 )
 
+// dominantFrequency returns the frequency (Hz) of the strongest spectral
+// component of x (power-of-two length): the peak bin of the
+// Hann-windowed spectrum, refined by parabolic interpolation on the log
+// magnitude for sub-bin accuracy on tones. It returns 0 for empty x.
+func dominantFrequency(x []complex128, sampleRate float64) float64 {
+	n := len(x)
+	if n == 0 {
+		return 0
+	}
+	buf := append([]complex128(nil), x...)
+	ApplyWindow(buf, Hann.Coefficients(n))
+	spec := fft(buf)
+	mags := make([]float64, n)
+	best := 0
+	for i, v := range spec {
+		mags[i] = real(v)*real(v) + imag(v)*imag(v)
+		if mags[i] > mags[best] {
+			best = i
+		}
+	}
+	a := math.Log(mags[(best-1+n)%n] + 1e-300)
+	b := math.Log(mags[best] + 1e-300)
+	c := math.Log(mags[(best+1)%n] + 1e-300)
+	delta := 0.0
+	if den := a - 2*b + c; math.Abs(den) > 1e-12 {
+		delta = math.Max(-0.5, math.Min(0.5, 0.5*(a-c)/den))
+	}
+	k := float64(best) + delta
+	if k > float64(n)/2 {
+		k -= float64(n)
+	}
+	return k * sampleRate / float64(n)
+}
+
+func TestDominantFrequencySubBin(t *testing.T) {
+	fs := 1e6
+	n := 1024
+	// An off-bin frequency: interpolation should get within a tenth of a
+	// bin (bin width ~977 Hz).
+	f := 123_456.0
+	x := Tone(f, fs, n, 0)
+	got := dominantFrequency(x, fs)
+	if math.Abs(got-f) > 200 {
+		t.Fatalf("dominant frequency %g, want %g", got, f)
+	}
+	// Negative frequencies work too.
+	x = Tone(-200e3, fs, n, 0)
+	got = dominantFrequency(x, fs)
+	if math.Abs(got+200e3) > 200 {
+		t.Fatalf("negative dominant frequency %g, want -200 kHz", got)
+	}
+	if dominantFrequency(nil, fs) != 0 {
+		t.Fatal("empty input must return 0")
+	}
+}
+
 func TestNCOFrequency(t *testing.T) {
 	fs := 1e6
 	o := NewNCO(100e3, fs, 0)
 	x := o.Block(1024)
-	got := DominantFrequency(x, fs)
+	got := dominantFrequency(x, fs)
 	if math.Abs(got-100e3) > 100 {
 		t.Fatalf("NCO frequency %g, want 100 kHz", got)
 	}
@@ -48,7 +104,7 @@ func TestMixShiftsSpectrum(t *testing.T) {
 	fs := 1e6
 	x := Tone(50e3, fs, 2048, 0.3)
 	y := Mix(x, 100e3, fs, 0)
-	got := DominantFrequency(y, fs)
+	got := dominantFrequency(y, fs)
 	if math.Abs(got-150e3) > 100 {
 		t.Fatalf("mixed frequency %g, want 150 kHz", got)
 	}
@@ -75,8 +131,8 @@ func TestChirpSweep(t *testing.T) {
 	}
 	// Instantaneous frequency early in the chirp is near 0, late is near
 	// the top. Check by windowed dominant frequency.
-	head := DominantFrequency(c[:512], fs)
-	tail := DominantFrequency(c[n-512:], fs)
+	head := dominantFrequency(c[:512], fs)
+	tail := dominantFrequency(c[n-512:], fs)
 	if head > 0.5e6 {
 		t.Fatalf("chirp head frequency %g, want near 0", head)
 	}
@@ -222,4 +278,109 @@ func TestAddPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	Add([]complex128{1}, []complex128{1, 2})
+}
+
+func TestPeakIndex(t *testing.T) {
+	x := []complex128{1, -5i, 2}
+	i, m := PeakIndex(x)
+	if i != 1 || math.Abs(m-5) > 1e-15 {
+		t.Fatalf("peak (%d, %g)", i, m)
+	}
+	i, m = PeakIndex(nil)
+	if i != -1 || m != 0 {
+		t.Fatal("empty peak must be (-1, 0)")
+	}
+}
+
+func TestGoertzelMatchesFFTBin(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	x := randSignal(rng, 128)
+	spec := fft(x)
+	for _, k := range []int{0, 1, 17, 64, 127} {
+		g := Goertzel(x, float64(k)/128)
+		if cmplx.Abs(g-spec[k]) > 1e-8 {
+			t.Fatalf("bin %d: goertzel %v vs fft %v", k, g, spec[k])
+		}
+	}
+}
+
+func TestGoertzelPowerToneDetection(t *testing.T) {
+	// The node-side tone detector: power ~1 when the tone is present,
+	// ~0 when absent.
+	n := 256
+	f := 0.1
+	present := Tone(f, 1, n, 0.4)
+	if p := GoertzelPower(present, f); math.Abs(p-1) > 1e-9 {
+		t.Fatalf("present power %g", p)
+	}
+	absent := Tone(0.3, 1, n, 0)
+	if p := GoertzelPower(absent, f); p > 1e-3 {
+		t.Fatalf("absent power %g", p)
+	}
+	if GoertzelPower(nil, f) != 0 {
+		t.Fatal("empty power must be 0")
+	}
+}
+
+func BenchmarkGoertzel(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := randSignal(rng, 1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Goertzel(x, 0.1)
+	}
+}
+
+func TestDCBlockerRemovesDC(t *testing.T) {
+	d, err := NewDCBlocker(0.995)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Constant input must settle to ~0 output immediately thanks to
+	// priming.
+	x := make([]complex128, 2000)
+	for i := range x {
+		x[i] = 3 + 1i
+	}
+	y := d.Process(x)
+	for i, v := range y {
+		if cmplxAbs(v) > 1e-9 {
+			t.Fatalf("DC leak at sample %d: %v", i, v)
+		}
+	}
+}
+
+func TestDCBlockerPassesAC(t *testing.T) {
+	d, _ := NewDCBlocker(0.995)
+	// A tone well above the blocker corner passes with ~unit gain.
+	x := Tone(0.1, 1, 4000, 0)
+	for i := range x {
+		x[i] += 5 // large DC offset
+	}
+	y := d.Process(x)
+	// Skip the settling transient, then compare power to the tone's.
+	tail := y[2000:]
+	p := Power(tail)
+	if math.Abs(p-1) > 0.05 {
+		t.Fatalf("AC power through blocker %g, want ~1", p)
+	}
+}
+
+func TestDCBlockerErrors(t *testing.T) {
+	for _, r := range []float64{0, 1, -0.5, 1.5} {
+		if _, err := NewDCBlocker(r); err == nil {
+			t.Fatalf("radius %g must error", r)
+		}
+	}
+}
+
+func TestDCBlockerReset(t *testing.T) {
+	d, _ := NewDCBlocker(0.99)
+	x := []complex128{1, 2, 3}
+	a := d.Process(x)
+	d.Reset()
+	b := d.Process(x)
+	if e := maxErr(a, b); e > 1e-15 {
+		t.Fatal("Reset did not clear blocker state")
+	}
 }

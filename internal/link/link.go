@@ -3,8 +3,10 @@
 // Tier a (Waveform) runs the full waveform DSP chain — vanatta
 // modulator, per-sample AWGN, integrate-and-dump, slicing, and the AP
 // demodulator for whole frames. Tier b (Symbol) draws symbol-level
-// Monte-Carlo outcomes (phy.MeasureBER, the reference E3 validated
-// against the waveform chain). Tier c (Budget) samples closed-form
+// Monte-Carlo outcomes with phy.MeasureBER on a math/rand generator;
+// experiment E3 runs the same measurement as phy.MeasureBERFast on a
+// fastrand generator, which the phy tests pin to MeasureBER draw for
+// draw under a shared seed. Tier c (Budget) samples closed-form
 // link-budget outcomes from the rfmath BER/PER expressions with a
 // single uniform draw per frame. Thresholds maps a link SNR to the
 // cheapest tier that still resolves it, and the calibration suite in

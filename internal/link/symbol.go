@@ -31,9 +31,11 @@ func airBitsFor(r mac.Rate, payloadBytes int) int {
 }
 
 // Symbol is tier b: symbol-level Monte-Carlo over the tag alphabets via
-// phy.MeasureBER, the reference measurement experiment E3 validates
-// against the closed-form curves. It caches constellations per
-// modulation; use one Symbol per goroutine.
+// phy.MeasureBER on the caller's math/rand generator. Experiment E3
+// validates the same measurement against the closed-form curves, but
+// runs it as phy.MeasureBERFast on a fastrand generator (bit-identical
+// for the same seed). It caches constellations per modulation; use one
+// Symbol per goroutine.
 type Symbol struct {
 	consts map[string]*phy.Constellation
 }

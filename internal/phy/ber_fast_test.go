@@ -50,7 +50,7 @@ func TestMeasureBERFastMatchesReference(t *testing.T) {
 }
 
 func TestMeasureBERFastValidation(t *testing.T) {
-	c := NewOOK()
+	c := newOOK()
 	rng := fastrand.New(1)
 	if _, err := MeasureBERFast(c, 0, 100, rng); err == nil {
 		t.Fatal("zero Eb/N0 must error")

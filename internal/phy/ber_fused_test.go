@@ -8,7 +8,7 @@ import (
 )
 
 // stagedBER is the original buffered MeasureBER pipeline — RandomBits,
-// MapBits, Modulate, per-symbol noise, Slice, UnmapBits, BitErrors —
+// MapBits, Modulate, per-symbol noise, Slice, UnmapBits, bit counting —
 // kept as a reference to pin the fused implementation's RNG draw order
 // and arithmetic.
 func stagedBER(t *testing.T, c *Constellation, ebn0 float64, nBits int, rng *rand.Rand) BERResult {
@@ -25,11 +25,7 @@ func stagedBER(t *testing.T, c *Constellation, ebn0 float64, nBits int, rng *ran
 	}
 	rxSyms := c.Slice(nil, rx)
 	rxBits := c.UnmapBits(nil, rxSyms)[:nBits]
-	errs, err := BitErrors(txBits, rxBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return BERResult{Bits: nBits, Errors: errs}
+	return BERResult{Bits: nBits, Errors: bitErrors(txBits, rxBits)}
 }
 
 // TestMeasureBERMatchesStagedReference verifies the fused measurement is
@@ -46,7 +42,7 @@ func TestMeasureBERMatchesStagedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []*Constellation{NewBPSK(), NewQPSK(), NewOOK(), q16} {
+	for _, c := range []*Constellation{newBPSK(), NewQPSK(), newOOK(), q16} {
 		for _, nBits := range []int{1, 7, 1000, 1001, 1003} {
 			for _, ebn0 := range []float64{1, 5} {
 				want := stagedBER(t, c, ebn0, nBits, rand.New(rand.NewSource(77)))

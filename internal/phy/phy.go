@@ -1,7 +1,7 @@
 // Package phy implements the physical-layer toolkit shared by the mmTag
-// access point and the simulator: constellations and bit mapping, root
-// raised cosine pulse shaping, matched filtering, symbol timing and phase
-// recovery, and bit-error-rate measurement.
+// access point and the simulator: constellations, bit mapping and fast
+// slicing, one-tap gain estimation, channel sounding and linear
+// equalization, and Monte-Carlo bit-error-rate measurement.
 //
 // The constellation abstraction is deliberately generic ([]complex128
 // points): the tag's backscatter alphabets (vanatta.StateSet) plug in
@@ -65,13 +65,6 @@ func (c *Constellation) Point(i int) complex128 {
 		panic(fmt.Sprintf("phy: symbol index %d out of range", i))
 	}
 	return c.points[i]
-}
-
-// Points returns a copy of the point set.
-func (c *Constellation) Points() []complex128 {
-	out := make([]complex128, len(c.points))
-	copy(out, c.points)
-	return out
 }
 
 // MeanPower returns the average symbol energy (equiprobable symbols).
@@ -174,25 +167,10 @@ func (c *Constellation) EVM(rx []complex128) float64 {
 	return math.Sqrt(errPow / float64(len(rx)) / ref)
 }
 
-// Classic constellations used as references and by the active-radio
-// baseline.
-
-// NewBPSK returns {+1, -1} labelled 0, 1.
-func NewBPSK() *Constellation {
-	c, _ := NewConstellation("bpsk", []complex128{1, -1})
-	return c
-}
-
 // NewQPSK returns Gray-labelled unit-circle QPSK matching the tag's
 // four-state alphabet.
 func NewQPSK() *Constellation {
 	c, _ := NewConstellation("qpsk", []complex128{1, 1i, -1i, -1})
-	return c
-}
-
-// NewOOK returns {0, 1}.
-func NewOOK() *Constellation {
-	c, _ := NewConstellation("ook", []complex128{0, 1})
 	return c
 }
 
